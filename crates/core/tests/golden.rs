@@ -10,7 +10,7 @@
 use astriflash_core::config::{Configuration, SystemConfig};
 use astriflash_core::experiments::{fig1, fig3, fig9};
 use astriflash_core::sweep::Cell;
-use astriflash_stats::Phase;
+use astriflash_stats::{CsvDoc, Phase};
 use astriflash_workloads::{WorkloadKind, WorkloadParams};
 
 /// Tolerance for values EXPERIMENTS.md reports at three decimals.
@@ -34,7 +34,7 @@ fn fig3_saturation_throughputs_match_experiments_md() {
     debug_assertions,
     ignore = "full-scale golden; run with `cargo test --release`"
 )]
-fn fig1_three_percent_anchor_matches_experiments_md() {
+fn fig1_series_matches_committed_csv() {
     let params = WorkloadParams::scaled_down();
     let workloads = [
         WorkloadKind::HashTable,
@@ -43,20 +43,27 @@ fn fig1_three_percent_anchor_matches_experiments_md() {
         WorkloadKind::ArraySwap,
     ];
     let points = fig1::sweep(&params, &workloads, &fig1::default_fractions(), 2_000_000, 1);
-    let p3 = points
-        .iter()
-        .find(|p| (p.dram_fraction - 0.03).abs() < 1e-9)
-        .expect("3% point in default grid");
-    // results/csv/fig1.csv at full precision.
-    assert!(
-        (p3.miss_ratio - 0.029955362365166275).abs() < 1e-9,
-        "miss ratio at 3% DRAM drifted: {}",
-        p3.miss_ratio
-    );
-    assert!(
-        (p3.flash_bw_64core_gbps - 61.34858212386053).abs() < 1e-6,
-        "64-core flash bandwidth at 3% DRAM drifted: {}",
-        p3.flash_bw_64core_gbps
+    // Rendered exactly as the fig1 bin writes results/csv/fig1.csv, so
+    // every point is pinned to the last bit.
+    let mut csv = CsvDoc::new(&[
+        "dram_fraction",
+        "miss_ratio",
+        "flash_bw_per_core_gbps",
+        "flash_bw_64core_gbps",
+    ]);
+    for p in &points {
+        csv.row_owned(vec![
+            format!("{}", p.dram_fraction),
+            format!("{}", p.miss_ratio),
+            format!("{}", p.flash_bw_per_core_gbps),
+            format!("{}", p.flash_bw_64core_gbps),
+        ]);
+    }
+    let committed = include_str!("../../../results/csv/fig1.csv");
+    assert_eq!(
+        csv.render(),
+        committed,
+        "Fig. 1 series drifted from results/csv/fig1.csv"
     );
 }
 
