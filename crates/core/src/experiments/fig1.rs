@@ -10,6 +10,7 @@
 //! ```
 
 use astriflash_mem::PageLru;
+use astriflash_prof::{scope, Scope};
 use astriflash_sim::SimRng;
 use astriflash_workloads::{WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
 
@@ -43,7 +44,11 @@ fn replay_miss_ratio(
     accesses_per_point: usize,
     seed: u64,
 ) -> f64 {
-    let mut engine = kind.build(params, seed ^ (i as u64) << 8);
+    let mut engine = {
+        let _prof = scope(Scope::EngineBuild);
+        kind.build(params, seed ^ (i as u64) << 8)
+    };
+    let _prof = scope(Scope::LruReplay);
     let mut rng = SimRng::new(seed ^ 0xF1 ^ (i as u64));
     let mut lru = PageLru::new(capacity);
     // Warmup phase: fill the cache to steady state.

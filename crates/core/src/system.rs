@@ -414,7 +414,10 @@ impl SystemSim {
     pub fn new(cfg: SystemConfig, configuration: Configuration, seed: u64) -> Self {
         cfg.validate();
         let rng = SimRng::new(seed);
-        let mut engine = cfg.workload.build(&cfg.workload_params, seed ^ 0xE17);
+        let mut engine = {
+            let _prof = prof_scope(ProfScope::EngineBuild);
+            cfg.workload.build(&cfg.workload_params, seed ^ 0xE17)
+        };
         let threads_per_core =
             cfg.effective_threads_per_core(engine.threads_per_core_hint());
         let pending_cap = cfg

@@ -92,10 +92,14 @@ pub enum Scope {
     CompleteJob = 16,
     /// Flash garbage collection (`FlashDevice::maybe_gc`).
     FlashGc = 17,
+    /// Workload engine construction (`WorkloadKind::build`).
+    EngineBuild = 18,
+    /// Fig. 1 page-stream replay through the page LRU.
+    LruReplay = 19,
 }
 
 /// Number of scopes in the registry.
-pub const SCOPE_COUNT: usize = 18;
+pub const SCOPE_COUNT: usize = 20;
 
 const SCOPE_NAMES: [&str; SCOPE_COUNT] = [
     "event_loop",
@@ -116,6 +120,8 @@ const SCOPE_NAMES: [&str; SCOPE_COUNT] = [
     "wake_waiters",
     "complete_job",
     "flash_gc",
+    "engine_build",
+    "lru_replay",
 ];
 
 impl Scope {
@@ -146,6 +152,8 @@ impl Scope {
             WakeWaiters,
             CompleteJob,
             FlashGc,
+            EngineBuild,
+            LruReplay,
         ]
     }
 

@@ -3,7 +3,7 @@
 //! Each thread owns a flat, parent-indexed tree: a node is identified by
 //! `(parent, scope)` and linked through `first_child`/`next_sibling`, so
 //! entering a scope is a short linear scan over the parent's children
-//! (sibling counts are tiny — the registry has 18 scopes and real nesting
+//! (sibling counts are tiny — the registry has 20 scopes and real nesting
 //! uses far fewer per level). The monotonic clock is read exactly twice per
 //! scope: once on enter, once on exit. Exclusive time is computed on exit as
 //! `elapsed - child_ns`, where the parent frame accumulates its children's
