@@ -1,18 +1,18 @@
 //! Fig. 1: DRAM-cache miss ratio and required flash bandwidth vs DRAM
 //! capacity (§II-A).
 //!
-//! A Zipfian page trace over the dataset is replayed through an exact
-//! page-LRU at each capacity point; the required flash bandwidth per
-//! core follows Equation 1:
+//! Each workload's page trace is replayed once through an exact LRU that
+//! is evaluated at every capacity point (DESIGN.md, "One-pass Fig. 1
+//! replay"); the required flash bandwidth per core follows Equation 1:
 //!
 //! ```text
 //! BW_flash = BW_dram / block_size × miss_rate × page_size
 //! ```
 
-use astriflash_mem::PageLru;
+use astriflash_mem::BandedLru;
 use astriflash_prof::{scope, Scope};
 use astriflash_sim::SimRng;
-use astriflash_workloads::{WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
+use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
 
 use crate::sweep::Sweep;
 
@@ -33,44 +33,45 @@ pub struct Fig1Point {
 /// Per-core average DRAM bandwidth assumed by the paper (§II-A).
 pub const DRAM_BW_PER_CORE_GBPS: f64 = 0.5;
 
-/// One LRU replay: the page-granularity miss ratio of workload `i` at
-/// `capacity` pages. The seed expressions are part of the pinned output
-/// contract — do not change them.
-fn replay_miss_ratio(
+/// One replay of workload `i`'s page stream: the page-granularity miss
+/// ratio at each of `capacities` pages, in that order. The warm-up and
+/// measurement lengths are access counts that do not depend on capacity,
+/// so by LRU inclusion one [`BandedLru`] pass is exact at every capacity.
+/// The seed expressions are part of the pinned output contract — do not
+/// change them.
+fn replay_miss_ratios(
     params: &WorkloadParams,
     kind: WorkloadKind,
     i: usize,
-    capacity: usize,
+    capacities: &[usize],
     accesses_per_point: usize,
     seed: u64,
-) -> f64 {
+) -> Vec<f64> {
     let mut engine = {
         let _prof = scope(Scope::EngineBuild);
         kind.build(params, seed ^ (i as u64) << 8)
     };
     let _prof = scope(Scope::LruReplay);
     let mut rng = SimRng::new(seed ^ 0xF1 ^ (i as u64));
-    let mut lru = PageLru::new(capacity);
-    // Warmup phase: fill the cache to steady state.
-    let mut touched = 0usize;
-    while touched < accesses_per_point {
-        let job = engine.next_job(&mut rng);
-        for a in job.accesses() {
-            lru.access(a.addr / PAGE_SIZE);
-            touched += 1;
+    let mut lru = BandedLru::new(capacities);
+    let mut buf = JobBuf::new();
+    // Replays whole jobs until at least `target` accesses were made.
+    let mut replay = |lru: &mut BandedLru, target: usize| {
+        let mut touched = 0usize;
+        while touched < target {
+            engine.fill_job(&mut buf, &mut rng);
+            for a in buf.accesses() {
+                lru.access(a.addr / PAGE_SIZE);
+            }
+            touched += buf.accesses().len();
         }
-    }
+    };
+    // Warmup phase: fill the cache to steady state.
+    replay(&mut lru, accesses_per_point);
     // Measurement phase with counters reset.
     lru.reset_counters();
-    let mut measured = 0usize;
-    while measured < accesses_per_point / 2 {
-        let job = engine.next_job(&mut rng);
-        for a in job.accesses() {
-            lru.access(a.addr / PAGE_SIZE);
-            measured += 1;
-        }
-    }
-    lru.miss_ratio()
+    replay(&mut lru, accesses_per_point / 2);
+    (0..capacities.len()).map(|c| lru.miss_ratio(c)).collect()
 }
 
 /// Runs the Fig. 1 sweep: miss ratio averaged over `workloads` at each
@@ -102,21 +103,17 @@ pub fn sweep_with(
     accesses_per_point: usize,
     seed: u64,
 ) -> Vec<Fig1Point> {
+    if fractions.is_empty() {
+        return Vec::new();
+    }
     let num_pages = (params.dataset_bytes / PAGE_SIZE).max(1);
-    // Flatten the (fraction × workload) grid: every LRU replay is an
-    // independent cell.
-    let grid: Vec<(f64, WorkloadKind, usize)> = fractions
+    let capacities: Vec<usize> = fractions
         .iter()
-        .flat_map(|&fraction| {
-            workloads
-                .iter()
-                .enumerate()
-                .map(move |(i, &kind)| (fraction, kind, i))
-        })
+        .map(|&fraction| ((num_pages as f64 * fraction) as usize).max(1))
         .collect();
-    let ratios = sweep.map(&grid, |_, &(fraction, kind, i)| {
-        let capacity = ((num_pages as f64 * fraction) as usize).max(1);
-        replay_miss_ratio(params, kind, i, capacity, accesses_per_point, seed)
+    // One cell per workload: each replay yields every fraction's ratio.
+    let ratios = sweep.map(workloads, |i, &kind| {
+        replay_miss_ratios(params, kind, i, &capacities, accesses_per_point, seed)
     });
 
     // Merge in fraction order; the per-fraction mean sums ratios in
@@ -125,8 +122,7 @@ pub fn sweep_with(
         .iter()
         .enumerate()
         .map(|(fi, &fraction)| {
-            let per_wl = &ratios[fi * workloads.len()..(fi + 1) * workloads.len()];
-            let miss_ratio = per_wl.iter().sum::<f64>() / per_wl.len().max(1) as f64;
+            let miss_ratio = ratios.iter().map(|r| r[fi]).sum::<f64>() / ratios.len().max(1) as f64;
             let per_core = DRAM_BW_PER_CORE_GBPS / BLOCK_SIZE as f64
                 * miss_ratio
                 * PAGE_SIZE as f64;

@@ -42,7 +42,13 @@ fn fig1_series_matches_committed_csv() {
         WorkloadKind::Tatp,
         WorkloadKind::ArraySwap,
     ];
-    let points = fig1::sweep(&params, &workloads, &fig1::default_fractions(), 2_000_000, 1);
+    let points = fig1::sweep(
+        &params,
+        &workloads,
+        &fig1::default_fractions(),
+        2_000_000,
+        1,
+    );
     // Rendered exactly as the fig1 bin writes results/csv/fig1.csv, so
     // every point is pinned to the last bit.
     let mut csv = CsvDoc::new(&[

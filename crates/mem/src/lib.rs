@@ -31,6 +31,6 @@ pub use dram_cache::{CacheWindows, DramCache, DramCacheConfig, ProbeOutcome};
 pub use footprint::FootprintPredictor;
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, HierarchyOutcome, LevelTotals};
 pub use msr::MissStatusRow;
-pub use page_cache::PageLru;
+pub use page_cache::{BandedLru, PageLru};
 pub use sram_cache::{AccessResult, SramCache};
 pub use sram_cache_ref::RefSramCache;

@@ -2,8 +2,11 @@
 //! ("we examine the DRAM miss ratio while varying the DRAM-to-flash
 //! capacity ratio", §II-A).
 //!
-//! Implemented as a hash map plus an intrusive doubly-linked list over a
-//! slot arena, so a sweep over millions of accesses is O(1) per access.
+//! [`PageLru`] is one cache of one capacity: a hash map plus an intrusive
+//! doubly-linked list over a slot arena, so a sweep over millions of
+//! accesses is O(1) per access. [`BandedLru`] gives the exact miss counts
+//! of several capacities from one pass over the same stream, using LRU's
+//! inclusion property (Mattson et al., 1970).
 
 use astriflash_sim::PageMap;
 
@@ -162,6 +165,233 @@ impl PageLru {
     }
 }
 
+/// Per-capacity state of a [`BandedLru`]: band `j` holds the pages whose
+/// LRU stack position lies in `(capacity[j-1], capacity[j]]`.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    /// Most pages the band holds (`capacity[j] - capacity[j-1]`).
+    size: usize,
+    /// Pages the band holds.
+    len: usize,
+    /// The band's least-recently-used page: the boundary to band `j+1`.
+    tail: u32,
+    /// Hits on pages of this band since the last counter reset.
+    hits: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct BandSlot {
+    page: u64,
+    prev: u32,
+    next: u32,
+    band: u32,
+}
+
+/// An exact LRU evaluated at several capacities in one pass.
+///
+/// By LRU inclusion, the cache of capacity `c` holds exactly the top `c`
+/// pages of one recency stack, so an access hits at capacity `c` iff the
+/// page's stack position is at most `c`. The stack is kept as one
+/// intrusive list of at most `max(capacity)` pages, cut into bands at the
+/// distinct capacities; each page carries its band tag and each band keeps
+/// a pointer to its last page. An access to a page of band `b` hits at
+/// every capacity from band `b` up and misses below it; moving the page to
+/// the front then demotes one page across each boundary above band `b`.
+/// That is O(#capacities) per access and O(max capacity) memory, and every
+/// capacity's counts equal those of its own [`PageLru`].
+///
+/// # Example
+///
+/// ```
+/// use astriflash_mem::BandedLru;
+/// let mut lru = BandedLru::new(&[2, 1]);
+/// for page in [1, 2, 1, 3, 2] {
+///     lru.access(page);
+/// }
+/// assert_eq!(lru.misses(0), 4); // capacity 2: only the second 1 hits
+/// assert_eq!(lru.misses(1), 5); // capacity 1: every access misses
+/// ```
+#[derive(Debug)]
+pub struct BandedLru {
+    map: PageMap<u32>,
+    slots: Vec<BandSlot>,
+    head: u32, // MRU
+    /// Bands in ascending capacity order.
+    bands: Vec<Band>,
+    /// Band index of each capacity, in the order given to [`BandedLru::new`].
+    band_of: Vec<usize>,
+    max_capacity: usize,
+    accesses: u64,
+}
+
+impl BandedLru {
+    /// Creates a cache evaluated at each of `capacities` (in pages; any
+    /// order, duplicates allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities` is empty or holds a zero.
+    pub fn new(capacities: &[usize]) -> Self {
+        assert!(!capacities.is_empty(), "need at least one capacity");
+        assert!(
+            capacities.iter().all(|&c| c > 0),
+            "capacities must be positive"
+        );
+        let mut distinct = capacities.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let bands = distinct
+            .iter()
+            .scan(0, |below, &c| {
+                let size = c - *below;
+                *below = c;
+                Some(Band {
+                    size,
+                    len: 0,
+                    tail: NIL,
+                    hits: 0,
+                })
+            })
+            .collect();
+        let band_of = capacities
+            .iter()
+            .map(|c| distinct.binary_search(c).expect("capacity is listed"))
+            .collect();
+        let max_capacity = *distinct.last().expect("non-empty");
+        BandedLru {
+            map: PageMap::with_capacity(max_capacity.min(1 << 22)),
+            slots: Vec::with_capacity(max_capacity.min(1 << 22)),
+            head: NIL,
+            bands,
+            band_of,
+            max_capacity,
+            accesses: 0,
+        }
+    }
+
+    /// Unlinks slot `idx`, which belongs to band `b`.
+    fn unlink(&mut self, idx: u32, b: usize) {
+        let BandSlot { prev, next, .. } = self.slots[idx as usize];
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
+        } else {
+            self.head = next;
+        }
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+        let band = &mut self.bands[b];
+        band.len -= 1;
+        if band.tail == idx {
+            // With pages left, the band's new last page is `prev`.
+            band.tail = if band.len == 0 { NIL } else { prev };
+        }
+    }
+
+    /// Links slot `idx` in at the front (band 0), then demotes one page
+    /// across each boundary that overflowed.
+    fn push_front(&mut self, idx: u32) {
+        let slot = &mut self.slots[idx as usize];
+        slot.prev = NIL;
+        slot.next = self.head;
+        slot.band = 0;
+        if self.head != NIL {
+            self.slots[self.head as usize].prev = idx;
+        }
+        self.head = idx;
+        let first = &mut self.bands[0];
+        first.len += 1;
+        if first.len == 1 {
+            first.tail = idx;
+        }
+        let mut b = 0;
+        while self.bands[b].len > self.bands[b].size {
+            // The overflow stops at the band that lost the accessed page
+            // or at the first band with room, never past the last band.
+            let moved = self.bands[b].tail;
+            self.bands[b].tail = self.slots[moved as usize].prev;
+            self.bands[b].len -= 1;
+            b += 1;
+            self.slots[moved as usize].band = b as u32;
+            let next = &mut self.bands[b];
+            next.len += 1;
+            if next.len == 1 {
+                next.tail = moved;
+            }
+        }
+    }
+
+    /// Accesses `page` at every capacity. A page absent from the stack
+    /// misses everywhere and, once the largest capacity is full, evicts
+    /// the page at its bottom.
+    pub fn access(&mut self, page: u64) {
+        self.accesses += 1;
+        let idx = if let Some(idx) = self.map.get(page) {
+            let b = self.slots[idx as usize].band as usize;
+            self.bands[b].hits += 1;
+            if self.head == idx {
+                return;
+            }
+            self.unlink(idx, b);
+            idx
+        } else {
+            let idx = if self.map.len() >= self.max_capacity {
+                // Reuse the slot of the bottom page.
+                let last = self.bands.len() - 1;
+                let idx = self.bands[last].tail;
+                let victim = self.slots[idx as usize].page;
+                self.unlink(idx, last);
+                self.map.remove(victim);
+                self.slots[idx as usize].page = page;
+                idx
+            } else {
+                let idx = self.slots.len() as u32;
+                self.slots.push(BandSlot {
+                    page,
+                    prev: NIL,
+                    next: NIL,
+                    band: 0,
+                });
+                idx
+            };
+            self.map.insert(page, idx);
+            idx
+        };
+        self.push_front(idx);
+    }
+
+    /// Accesses since the last counter reset.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
+    }
+
+    /// Misses at the `i`-th capacity given to [`BandedLru::new`]: every
+    /// access that did not hit in that capacity's band or a band above it.
+    pub fn misses(&self, i: usize) -> u64 {
+        let hits: u64 = self.bands[..=self.band_of[i]].iter().map(|b| b.hits).sum();
+        self.accesses - hits
+    }
+
+    /// Miss ratio at the `i`-th capacity, computed as [`PageLru::miss_ratio`]
+    /// computes it.
+    pub fn miss_ratio(&self, i: usize) -> f64 {
+        if self.accesses == 0 {
+            0.0
+        } else {
+            self.misses(i) as f64 / self.accesses as f64
+        }
+    }
+
+    /// Resets the counters (e.g. after a warmup phase) without touching
+    /// residency.
+    pub fn reset_counters(&mut self) {
+        self.accesses = 0;
+        for band in &mut self.bands {
+            band.hits = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +453,44 @@ mod tests {
             };
             assert_eq!(fast_hit, naive_hit, "divergence on page {page}");
         }
+    }
+
+    #[test]
+    fn banded_matches_single_capacity_caches() {
+        let capacities = [5, 1, 3, 5, 8];
+        let mut banded = BandedLru::new(&capacities);
+        let mut single: Vec<PageLru> = capacities.iter().map(|&c| PageLru::new(c)).collect();
+        let mut x = 11u64;
+        for step in 0..5_000 {
+            if step == 1_000 {
+                banded.reset_counters();
+                single.iter_mut().for_each(PageLru::reset_counters);
+            }
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let page = (x >> 33) % 12;
+            banded.access(page);
+            for lru in &mut single {
+                lru.access(page);
+            }
+        }
+        for (i, lru) in single.iter().enumerate() {
+            assert_eq!(banded.misses(i), lru.misses(), "capacity {}", capacities[i]);
+            assert_eq!(banded.miss_ratio(i).to_bits(), lru.miss_ratio().to_bits());
+        }
+        assert_eq!(banded.accesses(), 4_000);
+    }
+
+    #[test]
+    fn banded_counts_nothing_before_the_first_access() {
+        let lru = BandedLru::new(&[4]);
+        assert_eq!(lru.misses(0), 0);
+        assert_eq!(lru.miss_ratio(0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn banded_rejects_zero_capacity() {
+        BandedLru::new(&[2, 0]);
     }
 
     #[test]
