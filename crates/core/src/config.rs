@@ -76,6 +76,71 @@ impl std::fmt::Display for Configuration {
     }
 }
 
+/// Why a [`SystemConfig`] cannot be simulated (see [`SystemConfig::check`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `cores` is zero.
+    NoCores,
+    /// `dram_cache_fraction` lies outside `[0.001, 1.0]`.
+    DramCacheFraction(f64),
+    /// `warmup_fraction` lies outside `[0.0, 1.0)`.
+    WarmupFraction(f64),
+    /// `max_sim_time_ms` is zero.
+    NoSimTime,
+    /// The telemetry window length is zero.
+    TelemetryWindow,
+    /// The telemetry SLO deadline is zero.
+    TelemetrySlo,
+    /// The telemetry window cap is zero.
+    TelemetryMaxWindows,
+    /// `msr_geometry` has a zero dimension.
+    MsrGeometry {
+        /// MSR sets.
+        sets: usize,
+        /// MSR ways.
+        ways: usize,
+    },
+    /// `tlb_geometry` has zero ways, more than 16 ways, or fewer entries
+    /// than ways.
+    TlbGeometry {
+        /// TLB entries.
+        entries: usize,
+        /// TLB ways.
+        ways: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::NoCores => write!(f, "need at least one core"),
+            ConfigError::DramCacheFraction(x) => {
+                write!(f, "DRAM-cache fraction {x} out of range [0.001, 1]")
+            }
+            ConfigError::WarmupFraction(x) => {
+                write!(f, "warmup fraction {x} out of range [0, 1)")
+            }
+            ConfigError::NoSimTime => write!(f, "simulated time limit must be positive"),
+            ConfigError::TelemetryWindow => write!(f, "telemetry window must be positive"),
+            ConfigError::TelemetrySlo => write!(f, "SLO deadline must be positive"),
+            ConfigError::TelemetryMaxWindows => {
+                write!(f, "need at least one telemetry window")
+            }
+            ConfigError::MsrGeometry { sets, ways } => write!(
+                f,
+                "MSR geometry {sets} sets x {ways} ways needs at least one of each"
+            ),
+            ConfigError::TlbGeometry { entries, ways } => write!(
+                f,
+                "TLB geometry {entries} entries x {ways} ways needs 1-16 ways \
+                 and at least as many entries as ways"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Full-system parameters.
 ///
 /// Defaults reproduce the paper's *ratios* at 1/64 scale (DESIGN.md §2):
@@ -288,21 +353,43 @@ impl SystemConfig {
         self.threads_per_core.unwrap_or(hint)
     }
 
-    /// Validates ratios and sizes.
+    /// Checks ratios, sizes and geometries, returning the first problem.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.cores == 0 {
+            return Err(ConfigError::NoCores);
+        }
+        if !(0.001..=1.0).contains(&self.dram_cache_fraction) {
+            return Err(ConfigError::DramCacheFraction(self.dram_cache_fraction));
+        }
+        if !(0.0..1.0).contains(&self.warmup_fraction) {
+            return Err(ConfigError::WarmupFraction(self.warmup_fraction));
+        }
+        if self.max_sim_time_ms == 0 {
+            return Err(ConfigError::NoSimTime);
+        }
+        if let Some(t) = &self.telemetry {
+            t.check()?;
+        }
+        let (sets, ways) = self.msr_geometry;
+        if sets == 0 || ways == 0 {
+            return Err(ConfigError::MsrGeometry { sets, ways });
+        }
+        let (entries, ways) = self.tlb_geometry;
+        if !(1..=16).contains(&ways) || entries < ways {
+            return Err(ConfigError::TlbGeometry { entries, ways });
+        }
+        Ok(())
+    }
+
+    /// Validates ratios, sizes and geometries.
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical parameters.
+    /// Panics with the [`ConfigError`] that [`SystemConfig::check`]
+    /// returns.
     pub fn validate(&self) {
-        assert!(self.cores > 0, "need at least one core");
-        assert!(
-            (0.001..=1.0).contains(&self.dram_cache_fraction),
-            "DRAM-cache fraction out of range"
-        );
-        assert!((0.0..1.0).contains(&self.warmup_fraction));
-        assert!(self.max_sim_time_ms > 0);
-        if let Some(t) = &self.telemetry {
-            t.validate();
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 }
@@ -376,5 +463,88 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         SystemConfig::default().with_cores(0).validate();
+    }
+
+    fn check(edit: impl FnOnce(&mut SystemConfig)) -> Result<(), ConfigError> {
+        let mut c = SystemConfig::default();
+        edit(&mut c);
+        c.check()
+    }
+
+    #[test]
+    fn zero_cores_is_a_typed_error() {
+        assert_eq!(check(|c| c.cores = 0), Err(ConfigError::NoCores));
+    }
+
+    #[test]
+    fn dram_cache_fraction_out_of_range_is_a_typed_error() {
+        assert_eq!(
+            check(|c| c.dram_cache_fraction = 1.5),
+            Err(ConfigError::DramCacheFraction(1.5))
+        );
+        assert!(check(|c| c.dram_cache_fraction = 1.0).is_ok());
+    }
+
+    #[test]
+    fn warmup_fraction_out_of_range_is_a_typed_error() {
+        assert_eq!(
+            check(|c| c.warmup_fraction = 1.0),
+            Err(ConfigError::WarmupFraction(1.0))
+        );
+    }
+
+    #[test]
+    fn zero_sim_time_is_a_typed_error() {
+        assert_eq!(
+            check(|c| c.max_sim_time_ms = 0),
+            Err(ConfigError::NoSimTime)
+        );
+    }
+
+    #[test]
+    fn bad_telemetry_is_a_typed_error() {
+        use crate::telemetry::TelemetryCfg;
+        let t = TelemetryCfg::default();
+        assert_eq!(
+            check(|c| c.telemetry = Some(t.with_window_ns(0))),
+            Err(ConfigError::TelemetryWindow)
+        );
+        assert_eq!(
+            check(|c| c.telemetry = Some(t.with_slo_ns(0))),
+            Err(ConfigError::TelemetrySlo)
+        );
+        assert_eq!(
+            check(|c| c.telemetry = Some(t.with_max_windows(0))),
+            Err(ConfigError::TelemetryMaxWindows)
+        );
+    }
+
+    #[test]
+    fn zero_msr_dimension_is_a_typed_error() {
+        for (sets, ways) in [(0, 8), (64, 0), (0, 0)] {
+            assert_eq!(
+                check(|c| c.msr_geometry = (sets, ways)),
+                Err(ConfigError::MsrGeometry { sets, ways })
+            );
+        }
+        assert!(check(|c| c.msr_geometry = (1, 1)).is_ok());
+    }
+
+    #[test]
+    fn bad_tlb_geometry_is_a_typed_error() {
+        for (entries, ways) in [(64, 0), (64, 17), (4, 8)] {
+            assert_eq!(
+                check(|c| c.tlb_geometry = (entries, ways)),
+                Err(ConfigError::TlbGeometry { entries, ways })
+            );
+        }
+        assert!(check(|c| c.tlb_geometry = (1, 1)).is_ok());
+        assert!(check(|c| c.tlb_geometry = (16, 16)).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "TLB geometry 4 entries x 8 ways")]
+    fn validate_panics_with_the_error() {
+        SystemConfig::default().with_tlb_geometry(4, 8).validate();
     }
 }

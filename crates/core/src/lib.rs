@@ -41,7 +41,7 @@ pub mod sweep;
 pub mod system;
 pub mod telemetry;
 
-pub use config::{Configuration, SystemConfig};
+pub use config::{ConfigError, Configuration, SystemConfig};
 pub use experiment::{Experiment, Load, PreparedRun, RunReport};
 pub use queueing::QueueModel;
 pub use sweep::{Cell, Sweep};

@@ -35,6 +35,8 @@ use astriflash_mem::{CacheWindows, MsrWindows};
 use astriflash_stats::{WindowSeries, WindowedHist, PHASE_QUANTILES};
 use astriflash_trace::Tracer;
 
+use crate::config::ConfigError;
+
 /// Windowed-telemetry parameters. Attach via
 /// [`crate::SystemConfig::with_telemetry`]; `None` (the default) keeps
 /// every collection hook compiled out of the hot path behind a single
@@ -83,15 +85,17 @@ impl TelemetryCfg {
         self
     }
 
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window, zero SLO, or zero cap.
-    pub fn validate(&self) {
-        assert!(self.window_ns > 0, "telemetry window must be positive");
-        assert!(self.slo_ns > 0, "SLO deadline must be positive");
-        assert!(self.max_windows > 0, "need at least one telemetry window");
+    /// Checks for a zero window, zero SLO, or zero cap.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.window_ns == 0 {
+            Err(ConfigError::TelemetryWindow)
+        } else if self.slo_ns == 0 {
+            Err(ConfigError::TelemetrySlo)
+        } else if self.max_windows == 0 {
+            Err(ConfigError::TelemetryMaxWindows)
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -524,13 +528,15 @@ mod tests {
 
     #[test]
     fn default_cfg_is_valid() {
-        TelemetryCfg::default().validate();
+        assert_eq!(TelemetryCfg::default().check(), Ok(()));
         assert_eq!(TelemetryCfg::default().window_ns, 1_000_000);
     }
 
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
-        TelemetryCfg::default().with_window_ns(0).validate();
+        crate::SystemConfig::default()
+            .with_telemetry(TelemetryCfg::default().with_window_ns(0))
+            .validate();
     }
 }
