@@ -6,7 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
-cargo build --release --workspace --all-targets
+# The root Cargo.toml sets default-members to every crate, so plain
+# cargo commands cover the whole workspace.
+cargo build --release --all-targets
 
 echo "==> cargo test (fast lane: memory-path crates)"
 # The SoA cache/TLB differential suites live here; running them first
@@ -14,13 +16,13 @@ echo "==> cargo test (fast lane: memory-path crates)"
 cargo test -q -p astriflash-mem -p astriflash-os
 
 echo "==> cargo test (debug, whole workspace)"
-cargo test -q --workspace
+cargo test -q
 
 echo "==> cargo test --release (full-scale goldens included)"
-cargo test -q --release --workspace
+cargo test -q --release
 
 echo "==> cargo clippy"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --all-targets -- -D warnings
 
 echo "==> trace_run smoke (offline Perfetto/CSV export)"
 cargo run --release -q -p astriflash-bench --bin trace_run -- --quick
