@@ -11,7 +11,7 @@ use astriflash_bench::HarnessOpts;
 use astriflash_core::sweep::Sweep;
 use astriflash_sim::SimRng;
 use astriflash_stats::{OnlineStats, TextTable};
-use astriflash_workloads::{WorkloadKind, WorkloadParams, PAGE_SIZE};
+use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, PAGE_SIZE};
 
 struct Characterization {
     compute_us: OnlineStats,
@@ -28,8 +28,9 @@ fn characterize(kind: WorkloadKind, params: &WorkloadParams, jobs: usize, seed: 
     let mut writes = 0u64;
     let mut total = 0u64;
     let mut pages: HashSet<u64> = HashSet::new();
+    let mut job = JobBuf::new();
     for _ in 0..jobs {
-        let job = engine.next_job(&mut rng);
+        engine.fill_job(&mut job, &mut rng);
         compute_us.push(job.total_compute_ns() as f64 / 1000.0);
         accesses.push(job.total_accesses() as f64);
         writes += job.total_writes() as u64;

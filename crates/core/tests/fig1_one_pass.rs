@@ -1,13 +1,13 @@
 //! The one-pass Fig. 1 sweep against the per-capacity replay it
-//! replaced: one engine build, one legacy `next_job` stream and one
-//! `PageLru` per (fraction, workload) cell. Every point must agree bit
-//! for bit, at any worker count.
+//! replaced: one engine build, one `fill_job` stream and one `PageLru`
+//! per (fraction, workload) cell. Every point must agree bit for bit,
+//! at any worker count.
 
 use astriflash_core::experiments::fig1::{self, Fig1Point, DRAM_BW_PER_CORE_GBPS};
 use astriflash_core::sweep::Sweep;
 use astriflash_mem::PageLru;
 use astriflash_sim::SimRng;
-use astriflash_workloads::{WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
+use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
 
 const ACCESSES: usize = 20_000;
 const SEED: u64 = 7;
@@ -25,9 +25,10 @@ fn replay_miss_ratio(
     let mut engine = kind.build(params, seed ^ (i as u64) << 8);
     let mut rng = SimRng::new(seed ^ 0xF1 ^ (i as u64));
     let mut lru = PageLru::new(capacity);
+    let mut job = JobBuf::new();
     let mut touched = 0usize;
     while touched < accesses_per_point {
-        let job = engine.next_job(&mut rng);
+        engine.fill_job(&mut job, &mut rng);
         for a in job.accesses() {
             lru.access(a.addr / PAGE_SIZE);
             touched += 1;
@@ -36,7 +37,7 @@ fn replay_miss_ratio(
     lru.reset_counters();
     let mut measured = 0usize;
     while measured < accesses_per_point / 2 {
-        let job = engine.next_job(&mut rng);
+        engine.fill_job(&mut job, &mut rng);
         for a in job.accesses() {
             lru.access(a.addr / PAGE_SIZE);
             measured += 1;

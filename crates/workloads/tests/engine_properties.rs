@@ -4,7 +4,7 @@
 
 use astriflash_sim::SimRng;
 use astriflash_testkit::prop_check;
-use astriflash_workloads::{WorkloadKind, WorkloadParams};
+use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams};
 
 fn all_kinds() -> [WorkloadKind; 7] {
     WorkloadKind::all()
@@ -20,9 +20,10 @@ fn accesses_stay_in_dataset() {
         for kind in all_kinds() {
             let mut engine = kind.build(&params, engine_seed);
             let mut rng = SimRng::new(job_seed);
+            let mut job = JobBuf::new();
             for _ in 0..20 {
-                let job = engine.next_job(&mut rng);
-                assert!(!job.ops.is_empty(), "{kind}: empty job");
+                engine.fill_job(&mut job, &mut rng);
+                assert!(!job.is_empty(), "{kind}: empty job");
                 for a in job.accesses() {
                     assert!(
                         a.addr < params.dataset_bytes,
@@ -47,8 +48,11 @@ fn engines_are_deterministic() {
             let mut e2 = kind.build(&params, engine_seed);
             let mut r1 = SimRng::new(job_seed);
             let mut r2 = SimRng::new(job_seed);
+            let (mut j1, mut j2) = (JobBuf::new(), JobBuf::new());
             for _ in 0..8 {
-                assert_eq!(e1.next_job(&mut r1), e2.next_job(&mut r2), "{kind}");
+                e1.fill_job(&mut j1, &mut r1);
+                e2.fill_job(&mut j2, &mut r2);
+                assert_eq!(j1, j2, "{kind}");
             }
         }
     });
@@ -67,8 +71,9 @@ fn pre_resolved_access_fields_are_consistent() {
         for kind in all_kinds() {
             let mut engine = kind.build(&params, engine_seed);
             let mut rng = SimRng::new(job_seed);
+            let mut job = JobBuf::new();
             for _ in 0..20 {
-                let job = engine.next_job(&mut rng);
+                engine.fill_job(&mut job, &mut rng);
                 for a in job.accesses() {
                     assert_eq!(a.vpn, a.addr / PAGE_SIZE, "{kind}: vpn of {:#x}", a.addr);
                     assert_eq!(
@@ -93,8 +98,9 @@ fn job_shape_envelope() {
         for kind in all_kinds() {
             let mut engine = kind.build(&params, 17);
             let mut rng = SimRng::new(job_seed);
+            let mut job = JobBuf::new();
             for _ in 0..10 {
-                let job = engine.next_job(&mut rng);
+                engine.fill_job(&mut job, &mut rng);
                 assert!(job.total_compute_ns() > 0, "{kind}: free job");
                 assert!(
                     job.total_compute_ns() < 1_000_000,
