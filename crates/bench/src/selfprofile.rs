@@ -1,12 +1,8 @@
 //! Measured self-profile of a figure cell (DESIGN.md §16).
 //!
-//! `perf_report --profile` used to *estimate* where a fig9 run's wall
-//! clock goes by multiplying operation counts with microbench-measured
-//! per-operation costs. The host-side scope profiler
-//! ([`astriflash_prof`]) measures the same attribution directly, so the
-//! profile is now built from measured scopes with the legacy
-//! counts×unit-cost estimate kept alongside as a cross-check — the
-//! drift column shows how far the model is from the measurement.
+//! `perf_report --profile` reports where a fig9 run's wall clock goes,
+//! grouped into hot-path rows, from the host-side scope profiler
+//! ([`astriflash_prof`]): every number is measured, none estimated.
 
 use std::time::Instant;
 
@@ -15,14 +11,12 @@ use astriflash_core::experiment::RunReport;
 use astriflash_core::sweep::Cell;
 use astriflash_prof::{Report, Scope};
 
-use crate::micro::Pair;
-
 /// One profiled figure-cell run: its wall clock, the simulation's own
 /// report, and the measured scope tree.
 pub struct MeasuredProfile {
     /// Host wall-clock nanoseconds of the event loop (setup excluded).
     pub wall_ns: f64,
-    /// The run's `RunReport` (operation counts for the estimate).
+    /// The run's `RunReport` (the counts the scope calls tie to).
     pub run: RunReport,
     /// The measured scope tree.
     pub profile: Report,
@@ -54,50 +48,12 @@ pub fn profile_cell(
     }
 }
 
-/// The per-operation medians the legacy estimate multiplies counts by,
-/// pulled from the microbench pairs' optimized sides (the shipped
-/// implementations — the ones the run actually executes).
-#[derive(Debug, Clone, Copy)]
-pub struct UnitCosts {
-    /// `access_path_combined` optimized median (ns per on-chip access).
-    pub access_path_combined: f64,
-    /// `job_gen` optimized median (ns per generated job).
-    pub job_gen: f64,
-    /// `miss_walk_loop` optimized median (ns per DRAM-cache miss walk).
-    pub miss_walk_loop: f64,
-    /// `event_queue_churn` optimized median (ns per kernel event).
-    pub event_queue_churn: f64,
-}
-
-impl UnitCosts {
-    /// Extracts the four unit costs from a measured pair set; pairs
-    /// that are absent cost zero (their rows then show pure drift).
-    pub fn from_pairs(pairs: &[Pair]) -> Self {
-        let unit = |name: &str| -> f64 {
-            pairs
-                .iter()
-                .find(|p| p.name == name)
-                .map(|p| p.optimized.sample.median())
-                .unwrap_or(0.0)
-        };
-        UnitCosts {
-            access_path_combined: unit("access_path_combined"),
-            job_gen: unit("job_gen"),
-            miss_walk_loop: unit("miss_walk_loop"),
-            event_queue_churn: unit("event_queue_churn"),
-        }
-    }
-}
-
-/// One attribution row: a hot-scope group with its measured time and
-/// the legacy model's estimate for the same work.
+/// One attribution row: a hot-scope group with its measured time.
 pub struct ProfileRow {
-    /// Row label (matches the legacy `--profile` table).
+    /// Row label.
     pub label: &'static str,
     /// Measured nanoseconds from the scope tree.
     pub measured_ns: f64,
-    /// Legacy counts×unit-cost estimate in nanoseconds.
-    pub est_ns: f64,
 }
 
 impl ProfileRow {
@@ -109,93 +65,60 @@ impl ProfileRow {
             0.0
         }
     }
-
-    /// Estimated share of the wall clock, in percent.
-    pub fn est_pct(&self, wall_ns: f64) -> f64 {
-        if wall_ns > 0.0 {
-            self.est_ns / wall_ns * 100.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Model error in percentage points (estimate − measured shares).
-    pub fn drift_pp(&self, wall_ns: f64) -> f64 {
-        self.est_pct(wall_ns) - self.measured_pct(wall_ns)
-    }
 }
 
-/// Builds the attribution rows: measured scope groups next to the
-/// legacy estimate for the same work, plus a final remainder row per
-/// column so both columns sum to the wall clock.
+/// Builds the attribution rows: measured scope groups plus a final
+/// remainder row, so the rows sum to the wall clock.
 ///
-/// The groupings pair each legacy model term with the scopes that do
-/// that work:
+/// Each row groups the scopes that do one kind of work:
 ///
 /// * **job_gen** — `fill_job` inclusive (arena write + RNG draws).
 /// * **tlb+l1 hit path** — `do_access` exclusive + `access_run`
 ///   exclusive: the interpreter's probe loops with nested children
-///   (page-table walks, the miss path) subtracted out, the closest
-///   measurable analogue of the fused-probe microbench.
+///   (page-table walks, the miss path) subtracted out.
 /// * **on-chip miss path** — `miss_path` inclusive (MSR admit, flash
-///   issue, bookkeeping) + `pt_walk` inclusive. The legacy model priced
-///   this as one SRAM miss-walk per DRAM-cache miss, so this row is
-///   where the estimate drifts most.
+///   issue, bookkeeping) + `pt_walk` inclusive.
 /// * **event queue** — `event_loop` exclusive (pop/dispatch outside
 ///   any handler) + `queue_cascade` inclusive (wheel slot promotion).
-pub fn profile_rows(m: &MeasuredProfile, units: &UnitCosts) -> Vec<ProfileRow> {
+pub fn profile_rows(m: &MeasuredProfile) -> Vec<ProfileRow> {
     let incl = |s: Scope| m.profile.totals(s).incl_ns as f64;
     let excl = |s: Scope| m.profile.totals(s).excl_ns as f64;
-    let count = |name: &str| m.run.metrics.count(name).unwrap_or(0) as f64;
 
     let mut rows = vec![
         ProfileRow {
             label: "job_gen",
             measured_ns: incl(Scope::FillJob),
-            est_ns: count("jobs_total") * units.job_gen,
         },
         ProfileRow {
             label: "tlb+l1 hit path",
             measured_ns: excl(Scope::DoAccess) + excl(Scope::AccessRun),
-            est_ns: count("tlb_accesses") * units.access_path_combined,
         },
         ProfileRow {
             label: "on-chip miss path",
             measured_ns: incl(Scope::MissPath) + incl(Scope::PtWalk),
-            est_ns: count("dram_cache_misses") * units.miss_walk_loop,
         },
         ProfileRow {
             label: "event queue",
             measured_ns: excl(Scope::EventLoop) + incl(Scope::QueueCascade),
-            est_ns: m.run.events_processed as f64 * units.event_queue_churn,
         },
     ];
     let measured: f64 = rows.iter().map(|r| r.measured_ns).sum();
-    let est: f64 = rows.iter().map(|r| r.est_ns).sum();
     rows.push(ProfileRow {
         label: "scheduler + other (rest)",
         measured_ns: (m.wall_ns - measured).max(0.0),
-        est_ns: (m.wall_ns - est).max(0.0),
     });
     rows
 }
 
-/// Renders the side-by-side attribution table.
+/// Renders the attribution table.
 pub fn render_rows(m: &MeasuredProfile, rows: &[ProfileRow]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{:<26} {:>12} {:>7} {:>12} {:>7} {:>9}\n",
-        "scope", "measured", "%", "estimate", "%", "drift"
-    ));
+    let mut s = format!("{:<26} {:>12} {:>7}\n", "scope", "measured", "%");
     for r in rows {
         s.push_str(&format!(
-            "{:<26} {:>9.1} ms {:>6.1} % {:>9.1} ms {:>6.1} % {:>+7.1}pp\n",
+            "{:<26} {:>9.1} ms {:>6.1} %\n",
             r.label,
             r.measured_ns / 1e6,
             r.measured_pct(m.wall_ns),
-            r.est_ns / 1e6,
-            r.est_pct(m.wall_ns),
-            r.drift_pp(m.wall_ns),
         ));
     }
     s
@@ -205,29 +128,13 @@ pub fn render_rows(m: &MeasuredProfile, rows: &[ProfileRow]) -> String {
 mod tests {
     use super::*;
 
-    fn row(measured_ns: f64, est_ns: f64) -> ProfileRow {
-        ProfileRow {
+    #[test]
+    fn measured_share_is_a_percentage_of_wall() {
+        let r = ProfileRow {
             label: "x",
-            measured_ns,
-            est_ns,
-        }
-    }
-
-    #[test]
-    fn drift_is_estimate_minus_measured() {
-        let r = row(25.0, 40.0);
+            measured_ns: 25.0,
+        };
         assert_eq!(r.measured_pct(100.0), 25.0);
-        assert_eq!(r.est_pct(100.0), 40.0);
-        assert_eq!(r.drift_pp(100.0), 15.0);
-        assert_eq!(row(1.0, 1.0).drift_pp(0.0), 0.0);
-    }
-
-    #[test]
-    fn unit_costs_default_to_zero_for_missing_pairs() {
-        let u = UnitCosts::from_pairs(&[]);
-        assert_eq!(u.access_path_combined, 0.0);
-        assert_eq!(u.job_gen, 0.0);
-        assert_eq!(u.miss_walk_loop, 0.0);
-        assert_eq!(u.event_queue_churn, 0.0);
+        assert_eq!(r.measured_pct(0.0), 0.0);
     }
 }

@@ -350,17 +350,9 @@ impl BPlusTree {
     }
 
     /// Scans up to `count` records starting at the first key ≥ `start`,
-    /// pushing reads for every visited node and returning the record
-    /// addresses.
-    pub fn scan_trace(&self, start: u64, count: usize, out: &mut Vec<MemoryAccess>) -> Vec<u64> {
-        let mut records = Vec::with_capacity(count);
-        self.scan_trace_into(start, count, out, &mut records);
-        records
-    }
-
-    /// Allocation-free twin of [`BPlusTree::scan_trace`]: appends up to
-    /// `count` record addresses to a caller-owned (recycled) buffer.
-    pub fn scan_trace_into(
+    /// pushing reads for every visited node and appending the record
+    /// addresses to a caller-owned (recycled) buffer.
+    pub fn scan_trace(
         &self,
         start: u64,
         count: usize,
@@ -596,8 +588,8 @@ mod tests {
         for key in 0..200u64 {
             t.insert(key, 1000 + key, &mut alloc);
         }
-        let mut trace = Vec::new();
-        let recs = t.scan_trace(50, 20, &mut trace);
+        let (mut trace, mut recs) = (Vec::new(), Vec::new());
+        t.scan_trace(50, 20, &mut trace, &mut recs);
         assert_eq!(recs.len(), 20);
         assert_eq!(recs[0], 1050);
         assert_eq!(recs[19], 1069);
@@ -612,8 +604,8 @@ mod tests {
         for key in 0..10u64 {
             t.insert(key, key, &mut alloc);
         }
-        let mut trace = Vec::new();
-        let recs = t.scan_trace(8, 10, &mut trace);
+        let (mut trace, mut recs) = (Vec::new(), Vec::new());
+        t.scan_trace(8, 10, &mut trace, &mut recs);
         assert_eq!(recs, vec![8, 9]);
     }
 

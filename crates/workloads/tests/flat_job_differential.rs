@@ -1,75 +1,10 @@
-//! Differential suite for the flat job pipeline (DESIGN.md §14).
-//!
-//! Every engine's `fill_job` must be the decode-identical,
-//! RNG-sequence-identical twin of the retained legacy `next_job`: two
-//! engine instances built from the same (params, seed), driven by two
-//! rngs with the same seed, must agree job by job — including engines
-//! with internal state (TPC-C's circular order-line log, Masstree/RBT
-//! index churn) where a single divergent draw desynchronizes the whole
-//! stream. A second suite stress-tests `JobArena` recycling.
+//! Stress test of `JobArena` recycling in the flat job pipeline
+//! (DESIGN.md §14). The job streams themselves are pinned by
+//! `job_stream_digest.rs`.
 
 use astriflash_sim::SimRng;
 use astriflash_testkit::prop_check;
-use astriflash_workloads::engines::Tpcc;
-use astriflash_workloads::{
-    JobArena, JobBuf, WorkloadEngine, WorkloadKind, WorkloadParams,
-};
-
-/// `fill_job` decodes exactly to `next_job` for every engine, over long
-/// sequential job streams (ops, compute, access order, vpn/block
-/// pre-resolution — `decode` preserves `MemoryAccess` verbatim, and
-/// `JobSpec`'s `Eq` compares every field).
-#[test]
-fn fill_job_decodes_to_next_job_for_every_engine() {
-    prop_check!(cases: 10, |g| {
-        let engine_seed = g.u64_in(0..1_000);
-        let job_seed = g.u64_in(0..1_000);
-        let params = WorkloadParams::tiny_for_tests();
-        for kind in WorkloadKind::all() {
-            let mut legacy = kind.build(&params, engine_seed);
-            let mut flat = kind.build(&params, engine_seed);
-            let mut legacy_rng = SimRng::new(job_seed);
-            let mut flat_rng = SimRng::new(job_seed);
-            let mut buf = JobBuf::new();
-            for i in 0..40 {
-                let want = legacy.next_job(&mut legacy_rng);
-                flat.fill_job(&mut buf, &mut flat_rng);
-                assert_eq!(
-                    buf.decode(),
-                    want,
-                    "{kind}: flat job {i} diverged (seed {engine_seed}/{job_seed})"
-                );
-                assert_eq!(buf.total_compute_ns(), want.total_compute_ns(), "{kind}");
-                assert_eq!(buf.total_accesses(), want.total_accesses(), "{kind}");
-                assert_eq!(buf.total_writes(), want.total_writes(), "{kind}");
-            }
-        }
-    });
-}
-
-/// The full five-transaction TPC-C mix is not reachable through
-/// `WorkloadKind`, so cover its flat twins explicitly — it exercises
-/// every transaction builder including the stateful order-line log.
-#[test]
-fn tpcc_full_mix_fill_job_matches() {
-    prop_check!(cases: 8, |g| {
-        let job_seed = g.u64_in(0..1_000);
-        let params = WorkloadParams {
-            dataset_bytes: 64 << 20,
-            ..WorkloadParams::tiny_for_tests()
-        };
-        let mut legacy = Tpcc::new(&params, 41).with_full_mix();
-        let mut flat = Tpcc::new(&params, 41).with_full_mix();
-        let mut legacy_rng = SimRng::new(job_seed);
-        let mut flat_rng = SimRng::new(job_seed);
-        let mut buf = JobBuf::new();
-        for i in 0..120 {
-            let want = legacy.next_job(&mut legacy_rng);
-            flat.fill_job(&mut buf, &mut flat_rng);
-            assert_eq!(buf.decode(), want, "full-mix job {i} (seed {job_seed})");
-        }
-    });
-}
+use astriflash_workloads::{JobArena, WorkloadKind, WorkloadParams};
 
 /// Arena recycling under interleaved alloc/complete traffic: no slot is
 /// ever handed out twice while live (aliasing), every release is
