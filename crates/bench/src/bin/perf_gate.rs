@@ -2,10 +2,11 @@
 //!
 //! ```text
 //! cargo run --release -p astriflash-bench --bin perf_gate \
-//!     [-- --bench results/BENCH_10.json --baseline results/perf_baseline.json]
+//!     [-- --bench results/<PERF_REPORT>.json --baseline results/perf_baseline.json]
 //! ```
 //!
-//! Loads the freshly generated BENCH report and the committed baseline
+//! Loads the freshly generated perf report (by default the one
+//! [`astriflash_bench::PERF_REPORT`] names) and the committed baseline
 //! floors, and exits:
 //!
 //! * `0` — every pinned floor held;
@@ -14,8 +15,9 @@
 //!   non-finite value): never silently passes.
 //!
 //! `--write-baseline` rewrites the baseline file from the BENCH report
-//! instead of gating: every measured microbench/figure cell gets a
-//! fresh floor pinned below its median per the DESIGN.md §12 policy.
+//! instead of gating: every measured microbench, throughput and figure
+//! cell gets a fresh floor pinned below its median per the DESIGN.md
+//! §12 policy.
 //! Lowering an existing floor is accepting a regression, so the rewrite
 //! refuses (exit 1, offenders printed) unless `--allow-lower` is also
 //! passed. The §12 rule still applies: commit the rewritten baseline in
@@ -24,9 +26,10 @@
 use std::process::ExitCode;
 
 use astriflash_bench::gate::{gate, write_baseline};
+use astriflash_bench::perf_report_path;
 
 fn main() -> ExitCode {
-    let mut bench_path = "results/BENCH_10.json".to_owned();
+    let mut bench_path = perf_report_path();
     let mut baseline_path = "results/perf_baseline.json".to_owned();
     let mut write = false;
     let mut allow_lower = false;

@@ -74,13 +74,13 @@ test -s results/profile_trace.json
 echo "==> perf lane: perf_report (full, release) + perf_gate"
 # Variance-controlled measurement (DESIGN.md §12): warmup-discard,
 # adaptive reps to a CV target, medians + baseline-relative ratios into
-# results/BENCH_10.json. perf_gate then checks every pinned floor in
-# results/perf_baseline.json (with its explicit noise margins) and the
-# host-profiler overhead ceiling (DESIGN.md §16), exiting non-zero on
-# any violation, printing the offenders — perf regressions are
-# un-mergeable, not merely recorded.
+# the report astriflash_bench::PERF_REPORT names. perf_gate then checks
+# every pinned floor in results/perf_baseline.json (with its explicit
+# noise margins) and the host-profiler overhead ceiling (DESIGN.md §16),
+# exiting non-zero on any violation, printing the offenders — perf
+# regressions are un-mergeable, not merely recorded. An unreadable or
+# missing report exits 2.
 cargo run --release -q -p astriflash-bench --bin perf_report
-test -s results/BENCH_10.json
 cargo run --release -q -p astriflash-bench --bin perf_gate
 
 echo "CI green."
